@@ -82,7 +82,7 @@ def test_a2_covering_decomposition_growth(benchmark):
 
         for exponent in range(6, 15):
             size = 2**exponent
-            coverage = WindowCoverage(float(size), random.Random(1))
+            coverage = WindowCoverage(float(size), [random.Random(1)])
             for index in range(size):
                 coverage.advance_time(float(index))
                 coverage.observe(index, index, float(index))

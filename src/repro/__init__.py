@@ -117,12 +117,14 @@ kept only as the reference semantics:
   mode hoists attribute lookups and generator bindings out of the inner
   loop while consuming randomness exactly like an ``append`` loop — states,
   samples and checkpoints are bit-identical.  The timestamp samplers —
-  the paper's flagship machinery — batch the covering automata themselves:
-  the ``Incr`` merge cascade runs in place off a single O(1) merge probe
-  and window expiry pays one cached-threshold comparison per element with
-  a full Lemma 3.5 scan only at actual transitions, which takes
-  ``boz-ts-wr``/``boz-ts-wor`` ingest from ~1x to 4–5x over the append
-  loop while staying bit-identical.  Constructing a sampler (or a
+  the paper's flagship machinery — keep the ``k`` with-replacement lanes
+  in one covering automaton whose bucket geometry is shared (it depends
+  on the arrivals only), so the ``Incr`` walk and every expiry scan run
+  once per arrival rather than ``k`` times; the merge cascade runs in
+  place off a single O(1) merge probe, and batched expiry pays one
+  cached-threshold comparison per element with a full Lemma 3.5 scan only
+  at actual transitions — all bit-identical to ``k`` separate automata.
+  Constructing a sampler (or a
   :class:`~repro.engine.SamplerSpec`) with ``fast=True`` switches the
   sequence samplers to skip-counting (the Vitter Algorithm-Z lineage: one
   geometric skip per reservoir *acceptance* instead of one coin per

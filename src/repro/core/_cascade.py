@@ -1,7 +1,7 @@
 """The ``Incr`` merge cascade (Lemma 3.4) as a compile-friendly module.
 
-This is the innermost loop of :meth:`~repro.core.covering.WindowCoverage.
-observe_batch`, factored out so it can optionally be compiled with
+This is the innermost loop of :meth:`~repro.core.covering.CoveringDecomposition.
+incr`, factored out so it can optionally be compiled with
 `mypyc <https://mypyc.readthedocs.io/>`_ — the module deliberately sticks to
 the mypyc-supported subset (plain functions, a ``__slots__``-free final class,
 no dynamic attribute tricks, fully annotated signatures) so that
@@ -15,15 +15,14 @@ compiled form: the interpreted module is the reference, and
 :data:`COMPILED` reports which one is active (surfaced by the engine's
 ``transport_report()``).
 
-Both entry points mutate the bucket list **in place** and consume randomness
-exactly as the historical inline loop did, preserving the batched path's
-bit-identity contract:
+:func:`merge_cascade` mutates the bucket list **in place**.  The geometry of
+the cascade is computed once for all lanes; each lane then draws its two
+coins per merge, in cascade order, from its own coin source:
 
-* :func:`merge_cascade` draws two ``rng_random() < 0.5`` coins per merge, in
-  cascade order — byte-identical to the per-element ``Incr`` walk;
-* :func:`merge_cascade_fast` takes its coins from a :class:`CoinSlab`
-  (one ``randbytes(512)`` slab buys 512 fair coins, the high bit of each
-  byte), matching the ``fast=True`` trajectory.
+* the default mode passes each lane generator's ``random`` — byte-identical
+  to a lone automaton's ``Incr`` walk;
+* ``fast=True`` passes each lane's :class:`CoinSlab` ``random`` (one
+  ``randbytes(512)`` slab buys 512 fair coins).
 
 The callers keep the O(1) "does this arrival merge at all?" probe inline —
 ``n >= 3 and buckets[n - 3].start == index - 3`` — because most arrivals fail
@@ -32,38 +31,39 @@ it and a cross-module call would dominate the cost of the probe itself.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, List, Sequence
 
 from .bucket_structure import BucketStructure
 
-__all__ = ["COMPILED", "CoinSlab", "merge_cascade", "merge_cascade_fast"]
+__all__ = ["COMPILED", "CoinSlab", "merge_cascade"]
 
 #: True when this module is running as a compiled (mypyc) extension.
 COMPILED = not __file__.endswith((".py", ".pyc"))
+
+_BYTE_SCALE = 1.0 / 256.0
 
 
 class CoinSlab:
     """Fair coins carved out of 512-byte ``randbytes`` slabs.
 
-    Each byte of generator output is one coin (its high bit: ``byte < 128``),
-    refilled lazily so the unconsumed tail of the final slab is simply
-    discarded — exact, because the coins are i.i.d.  One instance lives for
-    one ``observe_batch`` chunk so consecutive merge runs share a slab.
+    Each byte of generator output is one coin: :attr:`random` returns
+    ``byte / 256``, so the cascade's ``coin() < 0.5`` test reads the byte's
+    high bit.  Slabs are drawn lazily — the first coin of a slab triggers its
+    ``randbytes(512)`` call — and the unconsumed tail of the final slab is
+    simply discarded, which is exact because the coins are i.i.d.  One
+    instance per lane lives for one ``observe_batch`` chunk so consecutive
+    merge runs share a slab.  The coin stream is a chain of C iterators, so
+    a coin costs no Python frame.
     """
 
     def __init__(self, randbytes: Callable[[int], bytes]) -> None:
-        self._randbytes = randbytes
-        self._slab = b""
-        self._pos = 0
-
-    def flip(self) -> bool:
-        """One fair coin; ``True`` keeps the left bucket's sample."""
-        if self._pos == len(self._slab):
-            self._slab = self._randbytes(512)
-            self._pos = 0
-        coin = self._slab[self._pos] < 128
-        self._pos += 1
-        return coin
+        slabs = iter(partial(randbytes, 512), None)
+        #: One coarse uniform in ``[0, 1)``: below 0.5 keeps the left sample.
+        self.random: Callable[[], float] = partial(
+            next, map(_BYTE_SCALE.__mul__, chain.from_iterable(slabs))
+        )
 
 
 def _run_start(buckets: List[BucketStructure], index: int) -> int:
@@ -87,54 +87,22 @@ def _run_start(buckets: List[BucketStructure], index: int) -> int:
 def merge_cascade(
     buckets: List[BucketStructure],
     index: int,
-    rng_random: Callable[[], float],
+    coins: Sequence[Callable[[], float]],
+    observer: Any = None,
 ) -> None:
-    """Run the in-place merge cascade for arrival ``index`` (default coins).
+    """Run the in-place merge cascade for arrival ``index``.
 
-    Draws two ``rng_random() < 0.5`` coins per merge in front-to-back cascade
-    order, exactly as the per-element ``Incr`` walk does, so the resulting
-    bucket list *and* generator position are bit-identical to the reference.
+    Merges the stride-2 run front to back; every merge draws two coins per
+    lane from ``coins[lane]`` (see :meth:`BucketStructure.absorb`), so each
+    lane's bucket slots *and* generator position are bit-identical to a lone
+    automaton's reference walk.
     """
     n = len(buckets)
-    first = _run_start(buckets, index)
-    merged = BucketStructure.merge_fast
-    read = first
-    write = first
-    while read <= n - 3:
-        bucket = buckets[read]
-        right = buckets[read + 1]
-        r_sample = bucket.r_sample if rng_random() < 0.5 else right.r_sample
-        q_sample = bucket.q_sample if rng_random() < 0.5 else right.q_sample
-        buckets[write] = merged(bucket, right, r_sample, q_sample)
-        read += 2
-        write += 1
-    buckets[write] = buckets[n - 1]
-    del buckets[write + 1 :]
-
-
-def merge_cascade_fast(
-    buckets: List[BucketStructure],
-    index: int,
-    coins: CoinSlab,
-) -> None:
-    """Run the in-place merge cascade for arrival ``index`` (slab coins).
-
-    Identical structure to :func:`merge_cascade` but takes its fair coins
-    from a chunk-lived :class:`CoinSlab`, matching the ``fast=True`` path's
-    randomness trajectory byte for byte.
-    """
-    n = len(buckets)
-    first = _run_start(buckets, index)
-    merged = BucketStructure.merge_fast
-    read = first
-    write = first
-    while read <= n - 3:
-        bucket = buckets[read]
-        right = buckets[read + 1]
-        r_sample = bucket.r_sample if coins.flip() else right.r_sample
-        q_sample = bucket.q_sample if coins.flip() else right.q_sample
-        buckets[write] = merged(bucket, right, r_sample, q_sample)
-        read += 2
+    write = _run_start(buckets, index)
+    for read in range(write, n - 2, 2):
+        left = buckets[read]
+        left.absorb(buckets[read + 1], coins, observer)
+        buckets[write] = left
         write += 1
     buckets[write] = buckets[n - 1]
     del buckets[write + 1 :]

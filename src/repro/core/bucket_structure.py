@@ -12,15 +12,22 @@ the indexes of the picked elements.  ``R`` is used to build the output sample
 (Lemma 3.8); ``Q`` fuels the implicit-event generation (Lemmas 3.6–3.7);
 keeping them independent is what makes the final combination uniform.
 
+Theorem 3.9 keeps ``k`` independent copies of the structure.  Their
+boundaries and first elements depend only on the arrivals, never on the
+coins, so one :class:`BucketStructure` stores that *geometry* once and holds
+one ``R`` and one ``Q`` slot per lane (``r_samples[lane]``,
+``q_samples[lane]``); lane ``i`` of every structure together is exactly the
+``i``-th independent copy.
+
 Two bucket structures of equal width can be *merged* (used by the ``Incr``
-operator): the merged sample is either constituent's sample with probability
-1/2, which is again uniform because the widths are equal.
+operator): in each lane, the merged sample is either constituent's sample
+with probability 1/2, which is again uniform because the widths are equal.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, Iterator, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..memory import MemoryMeter, WORD_MODEL
 from .serialization import decode_candidate, encode_candidate, require_state_fields
@@ -31,9 +38,9 @@ __all__ = ["BucketStructure"]
 
 class BucketStructure:
     """The summary ``BS(start, end)`` of bucket ``B(start, end)`` (elements
-    ``start .. end-1``)."""
+    ``start .. end-1``), with one R/Q sample slot per lane."""
 
-    __slots__ = ("start", "end", "first_value", "first_timestamp", "r_sample", "q_sample")
+    __slots__ = ("start", "end", "first_value", "first_timestamp", "r_samples", "q_samples")
 
     def __init__(
         self,
@@ -41,17 +48,21 @@ class BucketStructure:
         end: int,
         first_value: Any,
         first_timestamp: float,
-        r_sample: SampleCandidate,
-        q_sample: SampleCandidate,
+        r_samples: List[SampleCandidate],
+        q_samples: List[SampleCandidate],
     ) -> None:
         if end <= start:
             raise ValueError(f"bucket must be non-empty: start={start}, end={end}")
+        if not r_samples or len(r_samples) != len(q_samples):
+            raise ValueError(
+                f"need one R and one Q sample per lane: {len(r_samples)} and {len(q_samples)}"
+            )
         self.start = int(start)
         self.end = int(end)
         self.first_value = first_value
         self.first_timestamp = float(first_timestamp)
-        self.r_sample = r_sample
-        self.q_sample = q_sample
+        self.r_samples = list(r_samples)
+        self.q_samples = list(q_samples)
 
     # -- constructors --------------------------------------------------------
 
@@ -61,120 +72,138 @@ class BucketStructure:
         value: Any,
         index: int,
         timestamp: float,
+        lanes: int = 1,
         observer: Optional[CandidateObserver] = None,
     ) -> "BucketStructure":
         """``BS(index, index+1)``: a bucket holding exactly one element, whose
-        R and Q samples are necessarily that element."""
-        r_candidate = SampleCandidate(value=value, index=index, timestamp=timestamp)
-        q_candidate = SampleCandidate(value=value, index=index, timestamp=timestamp)
-        if observer is not None:
-            observer.on_select(r_candidate)
-            observer.on_select(q_candidate)
-        return cls(
-            start=index,
-            end=index + 1,
-            first_value=value,
-            first_timestamp=timestamp,
-            r_sample=r_candidate,
-            q_sample=q_candidate,
-        )
+        R and Q samples are necessarily that element in every lane.
 
-    @classmethod
-    def merge_fast(
-        cls,
-        left: "BucketStructure",
-        right: "BucketStructure",
-        r_sample: SampleCandidate,
-        q_sample: SampleCandidate,
-    ) -> "BucketStructure":
-        """Merge two adjacent equal-width buckets whose R/Q samples the caller
-        has already chosen (the batched ingest path draws the coins itself).
-
-        Skips the adjacency/width validation — the ``Incr`` cascade only
-        merges buckets Lemma 3.4 proves adjacent and equal-width — and the
-        observer notifications (batched ingest only runs observer-free).
+        With an observer, each lane's R and Q get their own candidate record
+        (observer state is per retained candidate), selected lane by lane, R
+        before Q.  Without one, all slots share a single record: nothing
+        reads or writes candidate state then, and snapshots encode each slot
+        separately, so sharing is invisible.
         """
         bucket = cls.__new__(cls)
-        bucket.start = left.start
-        bucket.end = right.end
-        bucket.first_value = left.first_value
-        bucket.first_timestamp = left.first_timestamp
-        bucket.r_sample = r_sample
-        bucket.q_sample = q_sample
+        bucket.start = index
+        bucket.end = index + 1
+        bucket.first_value = value
+        bucket.first_timestamp = timestamp
+        if observer is None:
+            candidate = SampleCandidate(value, index, timestamp)
+            bucket.r_samples = [candidate] * lanes
+            bucket.q_samples = [candidate] * lanes
+            return bucket
+        select = observer.on_select
+        r_samples = []
+        q_samples = []
+        for _ in range(lanes):
+            r_candidate = SampleCandidate(value, index, timestamp)
+            q_candidate = SampleCandidate(value, index, timestamp)
+            select(r_candidate)
+            select(q_candidate)
+            r_samples.append(r_candidate)
+            q_samples.append(q_candidate)
+        bucket.r_samples = r_samples
+        bucket.q_samples = q_samples
         return bucket
 
-    @classmethod
-    def merge(
-        cls,
-        left: "BucketStructure",
+    def absorb(
+        self,
         right: "BucketStructure",
-        rng: random.Random,
+        coins: Sequence[Callable[[], float]],
         observer: Optional[CandidateObserver] = None,
-    ) -> "BucketStructure":
-        """Merge two adjacent, equal-width bucket structures into one.
+    ) -> None:
+        """Merge the adjacent, equal-width ``right`` into this structure in place.
 
         Implements the unification step of the ``Incr`` operator: because
         ``|B(a,c)| == |B(c,d)|``, picking either constituent's uniform sample
-        with probability 1/2 yields a uniform sample of ``B(a,d)``.  The R and
-        Q choices use independent coins so the merged samples stay independent.
+        with probability 1/2 yields a uniform sample of ``B(a,d)``.  Lane
+        ``i`` draws two coins from ``coins[i]`` (``coin() < 0.5`` keeps this
+        side), R first, then Q, so the R and Q choices stay independent and
+        each lane consumes its own generator exactly as a lone automaton
+        would.  The observer hears about the losing R then the losing Q
+        sample of each lane.
         """
-        if left.end != right.start:
-            raise ValueError(f"buckets are not adjacent: {left} and {right}")
-        if left.width != right.width:
+        if self.end != right.start:
+            raise ValueError(f"buckets are not adjacent: {self} and {right}")
+        if self.end - self.start != right.end - right.start:
             raise ValueError(
-                f"only equal-width buckets may be merged: widths {left.width} and {right.width}"
+                f"only equal-width buckets may be merged: widths {self.width} and {right.width}"
             )
-        keep_left_r = rng.random() < 0.5
-        keep_left_q = rng.random() < 0.5
-        r_sample = left.r_sample if keep_left_r else right.r_sample
-        q_sample = left.q_sample if keep_left_q else right.q_sample
-        if observer is not None:
-            if not keep_left_r:
-                observer.on_discard(left.r_sample)
-            else:
-                observer.on_discard(right.r_sample)
-            if not keep_left_q:
-                observer.on_discard(left.q_sample)
-            else:
-                observer.on_discard(right.q_sample)
-        return cls(
-            start=left.start,
-            end=right.end,
-            first_value=left.first_value,
-            first_timestamp=left.first_timestamp,
-            r_sample=r_sample,
-            q_sample=q_sample,
-        )
+        left_r = self.r_samples
+        left_q = self.q_samples
+        right_r = right.r_samples
+        right_q = right.q_samples
+        lane = 0
+        if observer is None:
+            for coin in coins:
+                if coin() >= 0.5:
+                    left_r[lane] = right_r[lane]
+                if coin() >= 0.5:
+                    left_q[lane] = right_q[lane]
+                lane += 1
+        else:
+            discard = observer.on_discard
+            for coin in coins:
+                keep_left_r = coin() < 0.5
+                keep_left_q = coin() < 0.5
+                if keep_left_r:
+                    discard(right_r[lane])
+                else:
+                    discard(left_r[lane])
+                    left_r[lane] = right_r[lane]
+                if keep_left_q:
+                    discard(right_q[lane])
+                else:
+                    discard(left_q[lane])
+                    left_q[lane] = right_q[lane]
+                lane += 1
+        self.end = right.end
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: boundaries, first element, and the R/Q samples."""
+    # -- snapshots ------------------------------------------------------------
+
+    def state_dict(self, lane: int = 0) -> Dict[str, Any]:
+        """Snapshot of one lane: boundaries, first element, and that lane's
+        R/Q samples (the format of a lone single-sample structure)."""
         return {
             "start": self.start,
             "end": self.end,
             "first_value": self.first_value,
             "first_timestamp": self.first_timestamp,
-            "r_sample": encode_candidate(self.r_sample),
-            "q_sample": encode_candidate(self.q_sample),
+            "r_sample": encode_candidate(self.r_samples[lane]),
+            "q_sample": encode_candidate(self.q_samples[lane]),
         }
 
     @classmethod
-    def from_state_dict(cls, state: Dict[str, Any]) -> "BucketStructure":
-        """Rebuild a bucket structure captured by :meth:`state_dict`."""
-        require_state_fields(
-            state,
-            ("start", "end", "first_value", "first_timestamp", "r_sample", "q_sample"),
-            "BucketStructure",
-        )
+    def from_state_dicts(cls, states: Sequence[Dict[str, Any]]) -> "BucketStructure":
+        """Rebuild a structure from one :meth:`state_dict` per lane.
+
+        The geometry is taken from the first lane; the caller checks that
+        the other lanes agree with it.
+        """
+        for state in states:
+            require_state_fields(
+                state,
+                ("start", "end", "first_value", "first_timestamp", "r_sample", "q_sample"),
+                "BucketStructure",
+            )
+        first = states[0]
         return cls(
-            start=int(state["start"]),
-            end=int(state["end"]),
-            first_value=state["first_value"],
-            first_timestamp=float(state["first_timestamp"]),
-            r_sample=decode_candidate(state["r_sample"]),
-            q_sample=decode_candidate(state["q_sample"]),
+            start=int(first["start"]),
+            end=int(first["end"]),
+            first_value=first["first_value"],
+            first_timestamp=float(first["first_timestamp"]),
+            r_samples=[decode_candidate(state["r_sample"]) for state in states],
+            q_samples=[decode_candidate(state["q_sample"]) for state in states],
         )
 
     # -- geometry ---------------------------------------------------------------
+
+    @property
+    def lanes(self) -> int:
+        """Number of independent samples (R/Q slot pairs) held."""
+        return len(self.r_samples)
 
     @property
     def width(self) -> int:
@@ -201,27 +230,32 @@ class BucketStructure:
         )
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
-        yield self.r_sample
-        yield self.q_sample
+        """Every lane's R sample, then every lane's Q sample."""
+        return chain(self.r_samples, self.q_samples)
 
     def discard(self, observer: Optional[CandidateObserver]) -> None:
-        """Notify the observer that this structure's samples are being dropped."""
+        """Notify the observer that this structure's samples are being
+        dropped: lane by lane, R before Q."""
         if observer is not None:
-            observer.on_discard(self.r_sample)
-            observer.on_discard(self.q_sample)
+            discard = observer.on_discard
+            for r_candidate, q_candidate in zip(self.r_samples, self.q_samples):
+                discard(r_candidate)
+                discard(q_candidate)
 
     def memory_words(self) -> int:
-        """Footprint under the paper's model: first element + two boundaries +
-        timestamp + the two stored samples (value, index, timestamp each)."""
+        """Footprint under the paper's model: the geometry (first element,
+        two boundaries, its timestamp) once, plus two stored samples (value,
+        index, timestamp each) per lane."""
+        lanes = len(self.r_samples)
         meter = MemoryMeter(WORD_MODEL)
         meter.add_elements()  # p_x
         meter.add_indexes(2)  # x, y
         meter.add_timestamps()  # T(p_x)
-        meter.add_elements(2).add_indexes(2).add_timestamps(2)  # R and Q samples
+        meter.add_elements(2 * lanes).add_indexes(2 * lanes).add_timestamps(2 * lanes)
         return meter.total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BS({self.start},{self.end}; first_t={self.first_timestamp}, "
-            f"r@{self.r_sample.index}, q@{self.q_sample.index})"
+            f"r@{[c.index for c in self.r_samples]}, q@{[c.index for c in self.q_samples]})"
         )

@@ -23,20 +23,37 @@ at any time it holds either
    ``ζ(z, N(t))``, with the key invariant ``z - y <= N(t) + 1 - z`` needed by
    the implicit-event generation of §3.3.
 
-Both states use ``O(log n(t))`` memory words.
+Both states use ``O(log n(t))`` memory words per sample.
+
+**Shared geometry.**  Theorem 3.9 runs ``k`` independent automata, but the
+bucket boundaries, first elements, straddler and every Lemma 3.5 transition
+are a deterministic function of the arrivals, never of the coins.  So one
+automaton holds ``k`` *lanes*: a single geometry (each
+:class:`~repro.core.bucket_structure.BucketStructure` stores its bounds and
+first element once) and one R/Q slot column per lane, each lane with its own
+generator.  Per arrival the expiry check, the ``Incr`` merge positions and the
+new singleton's geometry are computed once; then, lane by lane, the singleton
+candidates are selected (R, then Q) and every merge of the cascade draws that
+lane's two coins from that lane's generator, front to back.  Each lane
+therefore sees exactly the coin sequence of a lone automaton, and lane ``i``
+of the shared automaton is bit-identical — slots and generator position — to
+the ``i``-th independent automaton the paper describes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..exceptions import EmptyWindowError, StreamOrderError
+from ..exceptions import ConfigurationError, EmptyWindowError, StreamOrderError
 from ..memory import MemoryMeter, WORD_MODEL
-from ..rng import ensure_rng
-from ._cascade import CoinSlab, merge_cascade, merge_cascade_fast
+from ._cascade import CoinSlab, merge_cascade
 from .bucket_structure import BucketStructure
+from .implicit_events import combine_straddler_and_suffix
 from .serialization import decode_rng_into, encode_rng, require_state_fields
 from .tracking import CandidateObserver, SampleCandidate
 
@@ -96,47 +113,33 @@ def canonical_boundaries(a: int, b: int) -> List[Tuple[int, int]]:
 
 
 class CoveringDecomposition:
-    """A covering decomposition ``ζ(a, b)`` with its ``Incr`` operator.
+    """A covering decomposition ``ζ(a, b)`` with its ``Incr`` operator, for
+    one R/Q lane per generator in ``rngs``.
 
     The decomposition is stored as a list of :class:`BucketStructure`, oldest
     first.  ``incr`` must be called with consecutive stream elements
-    (index ``covered_end + 1``); ``Incr`` costs ``O(log(b - a))`` time.
+    (index ``covered_end + 1``); ``Incr`` costs ``O(log(b - a))`` time for the
+    geometry plus ``O(k)`` per merge for the lanes' coins.
     """
 
-    def __init__(self, rng: random.Random, observer: Optional[CandidateObserver] = None) -> None:
-        self._rng = rng
+    def __init__(
+        self, rngs: Sequence[random.Random], observer: Optional[CandidateObserver] = None
+    ) -> None:
+        if not rngs:
+            raise ValueError("a covering decomposition needs at least one lane generator")
+        self._rngs = list(rngs)
+        #: Per-lane coin sources of the default mode (bound, so restoring a
+        #: generator's state in place keeps them valid).
+        self._coins: List[Callable[[], float]] = [rng.random for rng in self._rngs]
         self._observer = observer
         self._buckets: List[BucketStructure] = []
 
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def fresh(
-        cls,
-        value: Any,
-        index: int,
-        timestamp: float,
-        rng: random.Random,
-        observer: Optional[CandidateObserver] = None,
-    ) -> "CoveringDecomposition":
-        """``ζ(index, index)``: a decomposition holding a single element."""
-        decomposition = cls(rng, observer)
-        decomposition._buckets = [BucketStructure.singleton(value, index, timestamp, observer)]
-        return decomposition
-
-    @classmethod
-    def from_buckets(
-        cls,
-        buckets: List[BucketStructure],
-        rng: random.Random,
-        observer: Optional[CandidateObserver] = None,
-    ) -> "CoveringDecomposition":
-        """Wrap an existing (already canonical) suffix of bucket structures."""
-        decomposition = cls(rng, observer)
-        decomposition._buckets = list(buckets)
-        return decomposition
-
     # -- geometry --------------------------------------------------------------
+
+    @property
+    def lanes(self) -> int:
+        """Number of independent samples maintained."""
+        return len(self._rngs)
 
     @property
     def is_empty(self) -> bool:
@@ -175,42 +178,33 @@ class CoveringDecomposition:
 
     # -- the Incr operator --------------------------------------------------------
 
-    def incr(self, value: Any, index: int, timestamp: float) -> None:
+    def incr(
+        self,
+        value: Any,
+        index: int,
+        timestamp: float,
+        coins: Optional[Sequence[Callable[[], float]]] = None,
+    ) -> None:
         """Extend ``ζ(a, b)`` to ``ζ(a, b+1)`` with the newly arrived element.
 
-        Follows the inductive definition: walk the list front-to-back; at each
-        level either keep the leading bucket (when ``⌊log(b+2-a)⌋`` does not
-        change) or merge the two leading equal-width buckets; finally append a
-        singleton bucket for the new element.
+        The new singleton ``BS(b+1, b+2)`` is built first (its candidates
+        selected lane by lane), then the leading equal-width pairs that the
+        inductive definition merges are merged in place.  Those merges sit
+        where ``⌊log(b+2-a)⌋`` steps, which in a canonical decomposition is
+        a stride-2 run ending at the third-from-last bucket, so one O(1)
+        probe decides whether this arrival merges at all (see
+        :mod:`repro.core._cascade`).  ``coins`` overrides the per-lane coin
+        sources (the ``fast`` batched path passes coin slabs).
         """
-        if not self._buckets:
-            self._buckets = [BucketStructure.singleton(value, index, timestamp, self._observer)]
-            return
-        expected = self.covered_end + 1
-        if index != expected:
-            raise StreamOrderError(f"Incr expects element index {expected}, got {index}")
-        new_bucket = BucketStructure.singleton(value, index, timestamp, self._observer)
-        old = self._buckets
-        result: List[BucketStructure] = []
-        position = 0
-        last_index = old[-1].start  # the paper's b: the last bucket is BS(b, b+1)
-        while True:
-            remaining = len(old) - position
-            if remaining == 1:
-                result.append(old[position])
-                result.append(new_bucket)
-                break
-            a = old[position].start
-            if floor_log2(last_index + 2 - a) == floor_log2(last_index + 1 - a):
-                result.append(old[position])
-                position += 1
-            else:
-                merged = BucketStructure.merge(
-                    old[position], old[position + 1], self._rng, self._observer
-                )
-                result.append(merged)
-                position += 2
-        self._buckets = result
+        buckets = self._buckets
+        if buckets and index != buckets[-1].end:
+            raise StreamOrderError(f"Incr expects element index {buckets[-1].end}, got {index}")
+        observer = self._observer
+        singleton = BucketStructure.singleton(value, index, timestamp, len(self._rngs), observer)
+        n = len(buckets)
+        if n >= 3 and buckets[n - 3].start == index - 3:
+            merge_cascade(buckets, index, self._coins if coins is None else coins, observer)
+        buckets.append(singleton)
 
     # -- splitting (used by the Lemma 3.5 automaton) ----------------------------------
 
@@ -243,30 +237,38 @@ class CoveringDecomposition:
 
     # -- sampling ----------------------------------------------------------------------
 
-    def draw_uniform(self, rng: Optional[random.Random] = None) -> SampleCandidate:
-        """A uniform sample of all covered elements.
+    def uniform_drawer(self, rng: random.Random) -> Callable[[int], SampleCandidate]:
+        """A ``lane -> candidate`` function drawing a uniform sample of all
+        covered elements for that lane.
 
-        Chooses a bucket with probability proportional to its width and
-        returns that bucket's ``R`` sample — uniform because each bucket's
-        sample is uniform within the bucket and buckets are disjoint.
+        Each call chooses a bucket with probability proportional to its width
+        (one ``rng.randrange(width)``) and returns that bucket's ``R`` sample
+        in the lane — uniform because each bucket's sample is uniform within
+        the bucket and buckets are disjoint.  The cumulative widths are
+        computed once here, so drawing for all ``k`` lanes costs one pass
+        over the geometry plus a bisection per lane.
         """
-        if not self._buckets:
+        buckets = self._buckets
+        if not buckets:
             raise EmptyWindowError("decomposition is empty")
-        chooser = rng if rng is not None else self._rng
-        total = self.covered_width
-        pick = chooser.randrange(total)
-        running = 0
-        for bucket in self._buckets:
-            running += bucket.width
-            if pick < running:
-                return bucket.r_sample
-        return self._buckets[-1].r_sample  # pragma: no cover - numerical safety net
+        base = buckets[0].start
+        ends = [bucket.end - base for bucket in buckets]
+        total = ends[-1]
+        randrange = rng.randrange
+
+        def draw(lane: int) -> SampleCandidate:
+            return buckets[bisect_right(ends, randrange(total))].r_samples[lane]
+
+        return draw
+
+    def draw_uniform(self, rng: random.Random, lane: int = 0) -> SampleCandidate:
+        """One lane's uniform sample of all covered elements."""
+        return self.uniform_drawer(rng)(lane)
 
     # -- bookkeeping -------------------------------------------------------------------
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
-        for bucket in self._buckets:
-            yield from bucket.iter_candidates()
+        return chain.from_iterable(bucket.iter_candidates() for bucket in self._buckets)
 
     def discard_all(self) -> None:
         for bucket in self._buckets:
@@ -279,17 +281,13 @@ class CoveringDecomposition:
             meter.add_words(bucket.memory_words())
         return meter.total
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: the bucket structures, oldest first.
+    def state_dict(self, lane: int = 0) -> Dict[str, Any]:
+        """Snapshot of one lane: its bucket structures, oldest first.
 
-        The generator is owned by the enclosing :class:`WindowCoverage` (or
-        sampler) and is serialised there, not here.
+        The generators are owned by the enclosing :class:`WindowCoverage` and
+        serialised there, not here.
         """
-        return {"buckets": [bucket.state_dict() for bucket in self._buckets]}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        require_state_fields(state, ("buckets",), "CoveringDecomposition")
-        self._buckets = [BucketStructure.from_state_dict(encoded) for encoded in state["buckets"]]
+        return {"buckets": [bucket.state_dict(lane) for bucket in self._buckets]}
 
     def is_canonical(self) -> bool:
         """Whether the stored boundaries equal Definition 3.1's (test helper)."""
@@ -304,28 +302,47 @@ class CoveringDecomposition:
         return f"CoveringDecomposition({self.boundaries() if self._buckets else []})"
 
 
+def _lane_geometry(state: Dict[str, Any]) -> Tuple[Any, ...]:
+    """``(clock, straddler bounds, bucket bounds)`` of one lane's snapshot:
+    everything the lanes of one automaton must share."""
+    require_state_fields(state, ("now", "straddler", "decomposition", "rng"), "WindowCoverage")
+    require_state_fields(state["decomposition"], ("buckets",), "CoveringDecomposition")
+
+    def bounds(bucket: Dict[str, Any]) -> Tuple[int, int, float]:
+        require_state_fields(bucket, ("start", "end", "first_timestamp"), "BucketStructure")
+        return int(bucket["start"]), int(bucket["end"]), float(bucket["first_timestamp"])
+
+    straddler = state["straddler"]
+    return (
+        float(state["now"]),
+        None if straddler is None else bounds(straddler),
+        [bounds(bucket) for bucket in state["decomposition"]["buckets"]],
+    )
+
+
 class WindowCoverage:
-    """The Lemma 3.5 maintenance automaton for one independent sample.
+    """The Lemma 3.5 maintenance automaton for ``k`` independent samples.
 
     Feeds arriving elements into a covering decomposition and tracks window
     expiry, keeping either ``ζ(l(t), N(t))`` (case 1) or a straddling bucket
     plus ``ζ(z_t, N(t))`` (case 2).  Exposes the raw material needed by the
     §3.3 sampling rule: the straddler (if any) and the suffix decomposition.
+    ``rngs`` holds one generator per lane (one per independent sample); the
+    geometry is shared by all lanes (see the module docstring).
     """
 
     def __init__(
         self,
         t0: float,
-        rng: random.Random,
+        rngs: Sequence[random.Random],
         observer: Optional[CandidateObserver] = None,
     ) -> None:
         if t0 <= 0:
             raise ValueError("window span t0 must be positive")
         self._t0 = float(t0)
-        self._rng = ensure_rng(rng)
         self._observer = observer
         self._straddler: Optional[BucketStructure] = None
-        self._decomposition = CoveringDecomposition(self._rng, observer)
+        self._decomposition = CoveringDecomposition(rngs, observer)
         self._now = float("-inf")
 
     # -- state inspection -----------------------------------------------------------
@@ -337,6 +354,11 @@ class WindowCoverage:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def lanes(self) -> int:
+        """Number of independent samples (lanes) maintained."""
+        return self._decomposition.lanes
 
     @property
     def straddler(self) -> Optional[BucketStructure]:
@@ -385,12 +407,7 @@ class WindowCoverage:
             # Lemma 4.1: skip already-expired (delayed) elements; they can only
             # occur while no active element is stored.
             return
-        if self._decomposition.is_empty:
-            self._decomposition = CoveringDecomposition.fresh(
-                value, index, timestamp, self._rng, self._observer
-            )
-        else:
-            self._decomposition.incr(value, index, timestamp)
+        self._decomposition.incr(value, index, timestamp)
 
     def observe_batch(
         self,
@@ -407,28 +424,18 @@ class WindowCoverage:
 
         Semantically this is exactly ``advance_time(clocks[p])`` followed by
         ``observe(values[p], base_index + p, stamps[p])`` for every ``p``, but
-        the per-element costs are amortised across the chunk:
+        the Lemma 3.5 transition can only fire once the clock passes the front
+        bucket's first timestamp plus ``t0``, so the chunk pays one
+        cached-threshold comparison per element and a full expiry scan only
+        when the threshold is actually crossed (one scan per transition, not
+        one per arrival).
 
-        * **batched expiry** — the Lemma 3.5 transition can only fire once the
-          clock passes the front bucket's first timestamp plus ``t0``, so the
-          chunk pays one cached-threshold comparison per element and a full
-          expiry scan only when the threshold is actually crossed (one scan
-          per transition, not one per arrival);
-        * **in-place ``Incr``** — the merge cascade mutates the bucket list
-          directly instead of rebuilding it, and the "did ``⌊log(b+2-a)⌋``
-          step?" test collapses to a single power-of-two bit trick per bucket;
-        * observer/attribute lookups are hoisted out of the loop.
-
-        With ``fast=False`` the generator is consumed exactly as the
+        With ``fast=False`` every lane's generator is consumed exactly as the
         per-element path consumes it (two coins per merge, in cascade order),
         so the resulting state — buckets, straddler, clock *and* generator
-        position — is bit-identical.  ``fast=True`` replaces the per-merge
-        coins with skip-sampling (the counterpart of PR 4's reservoir fast
-        path, specialised to the merge coin's ``p = 1/2``: the geometric skip
-        between right-keeps is exactly the run length of a fair-coin stream,
-        so one generator draw buys a whole slab of merge coins) and shares
-        one candidate record between a fresh singleton's R and Q slots (they
-        are deterministically the same element): distributionally exact,
+        positions — is bit-identical.  ``fast=True`` takes each lane's merge
+        coins from a per-lane :class:`~repro.core._cascade.CoinSlab` (one
+        ``randbytes`` call buys 512 fair coins): distributionally exact,
         memoryless per-chunk redraws, but a different generator trajectory.
 
         Observer-carrying coverages fall back to the per-element path so the
@@ -445,21 +452,18 @@ class WindowCoverage:
             return
         t0 = self._t0
         now = self._now
-        rng_random = self._rng.random
-        new_bucket = BucketStructure.__new__
-        bucket_cls = BucketStructure
-        candidate_cls = SampleCandidate
-        buckets = self._decomposition._buckets
+        decomposition = self._decomposition
+        incr = decomposition.incr
+        coins = (
+            [CoinSlab(rng.randbytes).random for rng in decomposition._rngs]
+            if fast
+            else decomposition._coins
+        )
+        buckets = decomposition._buckets
         # Cached expiry threshold: no Lemma 3.5 transition can fire while
         # ``now - front_first_ts < t0`` (the exact per-element comparison, so
         # float rounding matches the reference path bit for bit).
         front_ts = buckets[0].first_timestamp if buckets else math.inf
-        # Fast-mode coin slab: each byte of ``randbytes`` output is one fair
-        # merge coin (its high bit), so one generator call buys 512 coins.
-        # The unconsumed tail is discarded at the end of the chunk, which is
-        # exact because the coins are i.i.d.
-        if fast:
-            coins = CoinSlab(self._rng.randbytes)
         for position in range(count):
             ts = stamps[position]
             clock = ts if clocks is None else clocks[position]
@@ -471,79 +475,44 @@ class WindowCoverage:
                 # then re-cache the bucket list and threshold.
                 self._now = now
                 self._refresh()
-                buckets = self._decomposition._buckets
+                buckets = decomposition._buckets
                 front_ts = buckets[0].first_timestamp if buckets else math.inf
             if now - ts >= t0:
                 # Lemma 4.1: a delayed element already expired on arrival is
                 # skipped (only possible while nothing active is stored).
                 continue
-            value = values[position]
-            index = base_index + position
-            if buckets:
-                # In-place Incr (Lemma 3.4).  The walk merges exactly where
-                # ``⌊log(b+2-a)⌋`` steps — where ``b+2-a`` is a power of two —
-                # and in a canonical decomposition those positions always form
-                # a stride-2 run ending at the third-from-last bucket (pinned
-                # exhaustively against the reference walk in
-                # tests/test_covering_decomposition.py).  One O(1) probe of
-                # that bucket therefore decides whether this arrival merges at
-                # all; most arrivals reduce to a plain append.  ``b`` is the
-                # previous newest index, so ``b + 1 == index``.
-                n = len(buckets)
-                if n >= 3 and buckets[n - 3].start == index - 3:
-                    # Delegate the cascade itself to repro.core._cascade
-                    # (optionally mypyc-compiled); both variants consume the
-                    # generator exactly as the historical inline loop did.
-                    if fast:
-                        merge_cascade_fast(buckets, index, coins)
-                    else:
-                        merge_cascade(buckets, index, rng_random)
-            else:
+            if not buckets:
                 front_ts = ts
-            # Append the new singleton BS(index, index+1), inlined (this runs
-            # once per active arrival — the hottest allocation in the path).
-            # The default mode creates distinct R and Q candidates exactly
-            # like BucketStructure.singleton; fast mode shares one record.
-            appended = new_bucket(bucket_cls)
-            appended.start = index
-            appended.end = index + 1
-            appended.first_value = value
-            appended.first_timestamp = ts
-            if fast:
-                appended.r_sample = appended.q_sample = candidate_cls(value, index, ts)
-            else:
-                appended.r_sample = candidate_cls(value, index, ts)
-                appended.q_sample = candidate_cls(value, index, ts)
-            buckets.append(appended)
+            incr(values[position], base_index + position, ts, coins)
         self._now = now
 
     # -- the Lemma 3.5 transitions ----------------------------------------------------------
 
     def _refresh(self) -> None:
-        if self._decomposition.is_empty:
+        decomposition = self._decomposition
+        buckets = decomposition._buckets
+        if not buckets:
             return
-        newest_first_timestamp = self._decomposition.buckets[-1].first_timestamp
-        if self._expired(newest_first_timestamp):
+        if self._expired(buckets[-1].first_timestamp):
             # Cases 2(b)/3(b): even the most recent element expired — the
             # window is empty; drop everything and start afresh later.
             if self._straddler is not None:
                 self._straddler.discard(self._observer)
                 self._straddler = None
-            self._decomposition.discard_all()
+            decomposition.discard_all()
             return
-        first_bucket = self._decomposition.buckets[0]
-        if not first_bucket.first_expired(self._now, self._t0):
+        if not buckets[0].first_expired(self._now, self._t0):
             # Cases 2(a)/3(a): nothing expired at the front; state unchanged.
             return
         # Cases 2(c)/3(c): the front of the decomposition expired but the
         # newest element is active — re-anchor on the straddling bucket.
-        straddler, discarded, suffix = self._decomposition.split_at_straddler(self._now, self._t0)
+        straddler, discarded, suffix = decomposition.split_at_straddler(self._now, self._t0)
         if self._straddler is not None:
             self._straddler.discard(self._observer)
         for bucket in discarded:
             bucket.discard(self._observer)
         self._straddler = straddler
-        self._decomposition = CoveringDecomposition.from_buckets(suffix, self._rng, self._observer)
+        decomposition._buckets = suffix
         self._check_invariant()
 
     def _check_invariant(self) -> None:
@@ -551,7 +520,7 @@ class WindowCoverage:
         if self._straddler is None or self._decomposition.is_empty:
             return
         alpha = self._straddler.width
-        beta = self._decomposition.covered_end + 1 - self._decomposition.covered_start
+        beta = self._decomposition.covered_width
         if alpha > beta:  # pragma: no cover - would indicate a logic error
             raise AssertionError(
                 f"covering invariant violated: straddler width {alpha} > suffix width {beta}"
@@ -559,58 +528,113 @@ class WindowCoverage:
 
     # -- sampling ---------------------------------------------------------------------------------
 
-    def draw_sample(self, rng: Optional[random.Random] = None) -> SampleCandidate:
-        """A uniform sample of the currently active elements (Theorem 3.9's rule).
+    def draw_samples(self, rng: random.Random) -> List[SampleCandidate]:
+        """One uniform sample of the currently active elements per lane
+        (Theorem 3.9's rule), drawing lane by lane from ``rng``.
 
         In case 1 the decomposition covers exactly the active elements, so a
         width-weighted choice among bucket ``R`` samples is uniform.  In case 2
         the straddling bucket is combined with the covered suffix through the
-        implicit-event machinery of §3.3 (Lemma 3.8).
+        implicit-event machinery of §3.3 (Lemma 3.8).  The suffix widths are
+        computed once for all lanes.
         """
-        from .implicit_events import combine_straddler_and_suffix
-
-        if self._decomposition.is_empty:
+        decomposition = self._decomposition
+        if decomposition.is_empty:
             raise EmptyWindowError("no active element in the window")
-        chooser = rng if rng is not None else self._rng
-        if self._straddler is None:
-            return self._decomposition.draw_uniform(chooser)
-        suffix_width = self._decomposition.covered_width
-        return combine_straddler_and_suffix(
-            self._straddler,
-            suffix_width,
-            lambda: self._decomposition.draw_uniform(chooser),
-            now=self._now,
-            t0=self._t0,
-            rng=chooser,
-        )
+        draw_suffix = decomposition.uniform_drawer(rng)
+        lanes = range(decomposition.lanes)
+        straddler = self._straddler
+        if straddler is None:
+            return [draw_suffix(lane) for lane in lanes]
+        suffix_width = decomposition.covered_width
+        return [
+            combine_straddler_and_suffix(
+                straddler,
+                suffix_width,
+                partial(draw_suffix, lane),
+                now=self._now,
+                t0=self._t0,
+                rng=rng,
+                lane=lane,
+            )
+            for lane in lanes
+        ]
 
     # -- bookkeeping ------------------------------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: clock, straddler, suffix decomposition, generator."""
-        return {
-            "now": self._now,
-            "straddler": None if self._straddler is None else self._straddler.state_dict(),
-            "decomposition": self._decomposition.state_dict(),
-            "rng": encode_rng(self._rng),
-        }
+    def state_dicts(self) -> List[Dict[str, Any]]:
+        """One snapshot per lane — clock, straddler, suffix decomposition and
+        generator — each in the format of a lone single-sample automaton."""
+        straddler = self._straddler
+        decomposition = self._decomposition
+        return [
+            {
+                "now": self._now,
+                "straddler": None if straddler is None else straddler.state_dict(lane),
+                "decomposition": decomposition.state_dict(lane),
+                "rng": encode_rng(rng),
+            }
+            for lane, rng in enumerate(decomposition._rngs)
+        ]
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        require_state_fields(state, ("now", "straddler", "decomposition", "rng"), "WindowCoverage")
-        self._now = float(state["now"])
-        self._straddler = (
-            None if state["straddler"] is None else BucketStructure.from_state_dict(state["straddler"])
+    def load_state_dicts(self, states: Sequence[Dict[str, Any]]) -> None:
+        """Restore the per-lane snapshots of :meth:`state_dicts`.
+
+        The lanes share one geometry, so every lane's snapshot must agree
+        with lane 0's on the clock, straddler presence, and every bucket's
+        bounds and first timestamp; a snapshot that does not (edited, or
+        stitched together from different automata) raises
+        :class:`~repro.exceptions.ConfigurationError` naming the first lane
+        that differs, before anything is changed.
+        """
+        decomposition = self._decomposition
+        if len(states) != decomposition.lanes:
+            raise ConfigurationError(
+                f"snapshot has {len(states)} lanes, coverage has {decomposition.lanes}"
+            )
+        reference = _lane_geometry(states[0])
+        for lane in range(1, len(states)):
+            geometry = _lane_geometry(states[lane])
+            if geometry != reference:
+                raise ConfigurationError(
+                    f"snapshot lane {lane} disagrees with lane 0 on the shared geometry"
+                    f" (clock, straddler, bucket bounds or first timestamps):"
+                    f" {geometry} != {reference}"
+                )
+        straddler = (
+            None
+            if reference[1] is None
+            else BucketStructure.from_state_dicts([state["straddler"] for state in states])
         )
-        decode_rng_into(self._rng, state["rng"])
-        self._decomposition = CoveringDecomposition(self._rng, self._observer)
-        self._decomposition.load_state_dict(state["decomposition"])
+        buckets = [
+            BucketStructure.from_state_dicts(
+                [state["decomposition"]["buckets"][position] for state in states]
+            )
+            for position in range(len(reference[2]))
+        ]
+        for rng, state in zip(decomposition._rngs, states):
+            decode_rng_into(rng, state["rng"])
+        self._now = reference[0]
+        self._straddler = straddler
+        decomposition._buckets = buckets
 
-    def iter_candidates(self) -> Iterator[SampleCandidate]:
+    def iter_candidates(self, before: Optional[int] = None) -> Iterator[SampleCandidate]:
+        """Every retained candidate: the straddler's, then the suffix buckets'
+        oldest first; within a bucket every lane's R, then every lane's Q.
+
+        With ``before``, the newest bucket is left out when it starts at or
+        after that index — the singleton of an arrival at ``before``, whose
+        candidates are the arrival itself.
+        """
+        buckets = self._decomposition._buckets
+        if before is not None and buckets and buckets[-1].start >= before:
+            buckets = buckets[:-1]
         if self._straddler is not None:
-            yield from self._straddler.iter_candidates()
-        yield from self._decomposition.iter_candidates()
+            buckets = [self._straddler, *buckets]
+        return chain.from_iterable(bucket.iter_candidates() for bucket in buckets)
 
     def memory_words(self) -> int:
+        """The clock and span once, the geometry once, each lane's slots."""
         meter = MemoryMeter(WORD_MODEL)
         meter.add_constants()  # t0
         meter.add_timestamps()  # the clock

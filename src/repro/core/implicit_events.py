@@ -39,6 +39,7 @@ def generate_y(
     straddler: BucketStructure,
     suffix_width: int,
     rng: random.Random,
+    lane: int = 0,
 ) -> SampleCandidate:
     """Lemma 3.6: a non-uniform random element ``Y`` of the straddling bucket.
 
@@ -52,6 +53,8 @@ def generate_y(
         decomposition (all of them active).
     rng:
         Source for the auxiliary coin ``H_i``.
+    lane:
+        Which of the straddler's independent samples to use.
 
     Returns the chosen element (as a candidate record): either the ``Q``
     sample's element ``p_{b-i}`` (kept with probability
@@ -61,7 +64,7 @@ def generate_y(
     beta = int(suffix_width)
     if beta <= 0:
         raise ValueError("suffix width must be positive")
-    q_sample = straddler.q_sample
+    q_sample = straddler.q_samples[lane]
     # The paper indexes elements of B(a, b) from the right: p_{b-i}, 1 <= i <= α.
     offset = straddler.end - q_sample.index
     if offset < 1 or offset > alpha:
@@ -81,6 +84,7 @@ def generate_x(
     now: float,
     t0: float,
     rng: random.Random,
+    lane: int = 0,
 ) -> bool:
     """Lemma 3.7: an event of (unknown) probability ``α / (β + γ)``.
 
@@ -93,7 +97,7 @@ def generate_x(
     beta = int(suffix_width)
     if alpha > beta:
         raise ValueError(f"Lemma 3.7 requires |B1| <= |B2|, got alpha={alpha}, beta={beta}")
-    y = generate_y(straddler, beta, rng)
+    y = generate_y(straddler, beta, rng, lane)
     y_expired = (now - y.timestamp) >= t0
     if not y_expired:
         return False
@@ -107,16 +111,18 @@ def combine_straddler_and_suffix(
     now: float,
     t0: float,
     rng: random.Random,
+    lane: int = 0,
 ) -> SampleCandidate:
     """Lemma 3.8: a uniform sample of all active elements.
 
     Combines the straddling bucket's ``R1`` sample (taken when it is active
     and the implicit event ``X`` fires) with a uniform sample ``R2`` of the
     covered suffix, drawn lazily via ``draw_suffix_sample`` (only called when
-    needed, keeping the procedure O(1) beyond the suffix draw).
+    needed, keeping the procedure O(1) beyond the suffix draw).  ``lane``
+    picks which of the straddler's independent R/Q sample pairs to use.
     """
-    x = generate_x(straddler, suffix_width, now, t0, rng)
-    r1 = straddler.r_sample
+    x = generate_x(straddler, suffix_width, now, t0, rng, lane)
+    r1 = straddler.r_samples[lane]
     r1_active = (now - r1.timestamp) < t0
     if r1_active and x:
         return r1

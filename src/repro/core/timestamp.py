@@ -1,8 +1,18 @@
 """Optimal sampling with replacement from timestamp-based windows (§3, Theorem 3.9).
 
-Each of the ``k`` independent samples is maintained by one
-:class:`~repro.core.covering.WindowCoverage` automaton (Lemma 3.5).  At query
-time the window sample is produced from the automaton's state:
+The ``k`` independent samples are the ``k`` lanes of one
+:class:`~repro.core.covering.WindowCoverage` automaton (Lemma 3.5).  The
+paper's ``k`` automata would hold identical bucket geometry — boundaries,
+first elements, straddler, expiry transitions all follow from the arrivals
+alone — so the geometry is kept once and each bucket carries ``k`` R/Q slot
+columns.  Each lane keeps its own generator and consumes it exactly as a
+lone automaton would: the singleton's candidates are selected lane by lane
+(R, then Q), and every merge of the ``Incr`` cascade draws each lane's two
+coins from that lane's generator, front to back.  Snapshots, generator
+positions and samples are therefore bit-identical to running ``k``
+separate automata, at one geometry walk per arrival instead of ``k``.
+
+At query time each lane's sample is produced from the shared state:
 
 * **case 1** — the covering decomposition starts exactly at the earliest
   active element: pick a bucket with probability proportional to its width and
@@ -11,16 +21,17 @@ time the window sample is produced from the automaton's state:
   implicit-event machinery of §3.3 (Lemma 3.8) to combine the straddler's
   sample with a uniform sample of the covered suffix.
 
-The memory footprint is Θ(k · log n(t)) words and is a deterministic function
-of the arrival pattern — never of the algorithm's coin flips — which is the
-paper's improvement over priority sampling.
+The memory footprint is Θ(k · log n(t)) words — 4 words of geometry per
+bucket once, plus 6 words of R/Q samples per bucket per lane — and is a
+deterministic function of the arrival pattern — never of the algorithm's coin
+flips — which is the paper's improvement over priority sampling.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from ..exceptions import ConfigurationError, EmptyWindowError, StreamOrderError
+from ..exceptions import ConfigurationError, StreamOrderError
 from ..memory import MemoryMeter, WORD_MODEL
 from ..rng import RngLike, ensure_rng, spawn
 from .base import (
@@ -61,11 +72,13 @@ class TimestampSamplerWR(TimestampWindowSampler):
         super().__init__(t0, k, observer)
         root = ensure_rng(rng)
         #: ``fast=True`` switches the batched path's bucket-merge coins to
-        #: geometric skip draws (distributionally exact, not bit-identical to
-        #: the ``append`` loop); the default consumes randomness exactly like
-        #: per-element appends.
+        #: coin slabs, one generator byte per coin (distributionally exact,
+        #: not bit-identical to the ``append`` loop); the default consumes
+        #: randomness exactly like per-element appends.
         self._fast = bool(fast)
-        self._coverages = [WindowCoverage(self._t0, spawn(root, lane), observer) for lane in range(self._k)]
+        self._coverage = WindowCoverage(
+            self._t0, [spawn(root, lane) for lane in range(self._k)], observer
+        )
         self._query_rng = spawn(root, self._k + 1)
         # Resolved after every spawn so kernel choice never perturbs them.
         self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
@@ -81,8 +94,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
         if now < self._now:
             raise StreamOrderError(f"clock moved backwards: {now} < {self._now}")
         self._now = float(now)
-        for coverage in self._coverages:
-            coverage.advance_time(self._now)
+        self._coverage.advance_time(self._now)
 
     # -- ingestion ----------------------------------------------------------------
 
@@ -95,8 +107,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
         if ts < self._now:
             raise StreamOrderError(f"timestamps must be non-decreasing: {ts} < {self._now}")
         self._now = ts
-        for coverage in self._coverages:
-            coverage.observe(value, index, ts)
+        self._coverage.observe(value, index, ts)
         self._arrivals += 1
         self._notify_arrival(value, index, ts)
 
@@ -106,12 +117,12 @@ class TimestampSamplerWR(TimestampWindowSampler):
         timestamps: Optional[Sequence[Optional[float]]] = None,
     ) -> int:
         """Batched :meth:`append`: timestamps are validated up front, then the
-        batch is fed lane-major through
-        :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
-        covering automaton owns an independent generator, so the default mode
-        is bit-identical to the ``append`` loop; ``fast=True`` switches the
-        merge coins to geometric skip draws — distributionally exact, but a
-        different generator trajectory).
+        batch is fed through
+        :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each lane
+        owns an independent generator, consumed in the per-element order, so
+        the default mode is bit-identical to the ``append`` loop;
+        ``fast=True`` switches the merge coins to per-lane coin slabs —
+        distributionally exact, but a different generator trajectory).
 
         Unlike per-element appends, an out-of-order timestamp raises
         *before* any element is applied.  Observer-carrying samplers fall
@@ -133,13 +144,11 @@ class TimestampSamplerWR(TimestampWindowSampler):
             from ..engine.kernels import as_float_array, coverage_observe_batch
 
             stamp_array = as_float_array(stamps)
-            for coverage in self._coverages:
-                coverage_observe_batch(
-                    coverage, values, 0, start, stamp_array, stamp_array, self._np_gen
-                )
+            coverage_observe_batch(
+                self._coverage, values, 0, start, stamp_array, stamp_array, self._np_gen
+            )
         else:
-            for coverage in self._coverages:
-                coverage.observe_batch(values, start, stamps, fast=fast)
+            self._coverage.observe_batch(values, start, stamps, fast=fast)
         self._now = stamps[-1]
         self._arrivals = start + count
         return count
@@ -147,43 +156,43 @@ class TimestampSamplerWR(TimestampWindowSampler):
     # -- sampling -------------------------------------------------------------------
 
     def sample_candidates(self) -> List[SampleCandidate]:
-        return [self._sample_coverage(coverage) for coverage in self._coverages]
-
-    def _sample_coverage(self, coverage: WindowCoverage) -> SampleCandidate:
         if self._now != float("-inf"):
-            coverage.advance_time(self._now)
-        if coverage.is_empty:
-            raise EmptyWindowError("no active element in the window")
-        return coverage.draw_sample(self._query_rng)
+            self._coverage.advance_time(self._now)
+        return self._coverage.draw_samples(self._query_rng)
 
     @property
     def window_is_empty(self) -> bool:
         """Whether no stored element is currently active."""
         if self._arrivals == 0:
             return True
-        coverage = self._coverages[0]
-        coverage.advance_time(self._now)
-        return coverage.is_empty
+        self._coverage.advance_time(self._now)
+        return self._coverage.is_empty
 
     def active_count_estimate(self) -> int:
         """Estimated number of currently active elements ``n(t)``
-        (:func:`~repro.core.covering.estimate_active_count` on the first
-        automaton's covering decomposition)."""
-        return estimate_active_count(self._coverages[0], self._now)
+        (:func:`~repro.core.covering.estimate_active_count` on the shared
+        covering decomposition)."""
+        return estimate_active_count(self._coverage, self._now)
 
     # -- introspection ------------------------------------------------------------------
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
-        for coverage in self._coverages:
-            yield from coverage.iter_candidates()
+        return self._coverage.iter_candidates()
+
+    def _notify_arrival(self, value: Any, index: int, timestamp: float) -> None:
+        """One flat pass over the slot columns, leaving out the arrival's own
+        singleton bucket (every other stored candidate is older)."""
+        if self._observer is not None:
+            self._observer.on_arrivals(
+                self._coverage.iter_candidates(before=index), value, index, timestamp
+            )
 
     def memory_words(self) -> int:
         meter = MemoryMeter(WORD_MODEL)
         meter.add_constants(2)  # t0 and k
         meter.add_counters()  # arrival counter
         meter.add_timestamps()  # the clock
-        for coverage in self._coverages:
-            meter.add_words(coverage.memory_words())
+        meter.add_words(self._coverage.memory_words())
         return meter.total
 
     # -- checkpointing ------------------------------------------------------------------
@@ -192,19 +201,21 @@ class TimestampSamplerWR(TimestampWindowSampler):
         return {
             "t0": self._t0,
             "now": self._now,
-            "coverages": [coverage.state_dict() for coverage in self._coverages],
+            "coverages": self._coverage.state_dicts(),
             "query_rng": encode_rng(self._query_rng),
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
+        """Restore a snapshot: one per-lane ``"coverages"`` entry per sample,
+        which must all describe the same geometry (see
+        :meth:`~repro.core.covering.WindowCoverage.load_state_dicts`)."""
         require_state_fields(payload, ("t0", "now", "coverages", "query_rng"), type(self).__name__)
         if float(payload["t0"]) != self._t0:
             raise ConfigurationError(f"snapshot has t0={payload['t0']}, sampler has t0={self._t0}")
-        if len(payload["coverages"]) != len(self._coverages):
+        if len(payload["coverages"]) != self._k:
             raise ConfigurationError(
-                f"snapshot has {len(payload['coverages'])} coverages, sampler has {len(self._coverages)}"
+                f"snapshot has {len(payload['coverages'])} coverages, sampler has {self._k}"
             )
+        self._coverage.load_state_dicts(payload["coverages"])
         self._now = float(payload["now"])
-        for coverage, coverage_state in zip(self._coverages, payload["coverages"]):
-            coverage.load_state_dict(coverage_state)
         decode_rng_into(self._query_rng, payload["query_rng"])

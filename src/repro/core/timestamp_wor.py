@@ -72,12 +72,15 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         root = ensure_rng(rng)
         self._allow_partial = bool(allow_partial)
         #: ``fast=True`` switches the batched path's bucket-merge coins to
-        #: geometric skip draws (distributionally exact, not bit-identical to
-        #: the ``append`` loop); the default consumes randomness exactly like
-        #: per-element appends.
+        #: coin slabs, one generator byte per coin (distributionally exact,
+        #: not bit-identical to the ``append`` loop); the default consumes
+        #: randomness exactly like per-element appends.
         self._fast = bool(fast)
-        # Coverage i receives elements delayed by i arrivals (Lemma 4.1).
-        self._coverages = [WindowCoverage(self._t0, spawn(root, lane), observer) for lane in range(self._k)]
+        # Coverage i receives elements delayed by i arrivals (Lemma 4.1), so
+        # the copies' geometries differ: each is a single-lane automaton.
+        self._coverages = [
+            WindowCoverage(self._t0, [spawn(root, lane)], observer) for lane in range(self._k)
+        ]
         self._query_rng = spawn(root, self._k + 1)
         # Resolved after every spawn so kernel choice never perturbs them.
         self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
@@ -140,10 +143,11 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         *arrival* timestamps as its clock track: each automaton owns an
         independent generator and sees exactly the per-element sequence,
         making the default mode bit-identical to the ``append`` loop
-        (``fast=True`` draws geometric merge skips instead — distributionally
-        exact, different generator trajectory).  Timestamps are validated up
-        front (an out-of-order one raises before any element is applied);
-        observer-carrying samplers fall back to the per-element loop.
+        (``fast=True`` draws merge coins from coin slabs instead —
+        distributionally exact, different generator trajectory).
+        Timestamps are validated up front (an out-of-order one raises before
+        any element is applied); observer-carrying samplers fall back to the
+        per-element loop.
         """
         check_batch_lengths(values, timestamps)
         count = len(values)
@@ -231,7 +235,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             coverage = self._coverages[delay]
             if coverage.is_empty:  # pragma: no cover - defensive; n >= k implies non-empty
                 raise EmptyWindowError("delayed coverage unexpectedly empty")
-            singles.append(coverage.draw_sample(self._query_rng))
+            singles.extend(coverage.draw_samples(self._query_rng))
         # The newest element of each successive domain: the last k-1 active
         # elements, oldest first — exactly recent[1:] when the buffer is full.
         recent_list = list(self._recent)
@@ -269,7 +273,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             "t0": self._t0,
             "now": self._now,
             "recent": [encode_candidate(candidate) for candidate in self._recent],
-            "coverages": [coverage.state_dict() for coverage in self._coverages],
+            "coverages": [coverage.state_dicts()[0] for coverage in self._coverages],
             "query_rng": encode_rng(self._query_rng),
         }
 
@@ -288,5 +292,5 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             (decode_candidate(encoded) for encoded in payload["recent"]), maxlen=self._k
         )
         for coverage, coverage_state in zip(self._coverages, payload["coverages"]):
-            coverage.load_state_dict(coverage_state)
+            coverage.load_state_dicts([coverage_state])
         decode_rng_into(self._query_rng, payload["query_rng"])

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, Optional
 __all__ = ["SampleCandidate", "CandidateObserver", "NullObserver", "OccurrenceCounter"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleCandidate:
     """An element currently retained by a sampler.
 
@@ -50,8 +50,8 @@ class SampleCandidate:
 class CandidateObserver:
     """Base class for application hooks attached to a sampler.
 
-    Sub-classes override some of the three callbacks.  All callbacks must be
-    O(1) so they do not change the samplers' time bounds.
+    Sub-classes override some of the callbacks.  All callbacks must be O(1)
+    per candidate so they do not change the samplers' time bounds.
     """
 
     def on_select(self, candidate: SampleCandidate) -> None:
@@ -60,6 +60,16 @@ class CandidateObserver:
     def on_arrival(self, candidate: SampleCandidate, value: Any, index: int, timestamp: float) -> None:
         """Called for every retained candidate whenever a *later* element
         arrives (``index`` is strictly greater than ``candidate.index``)."""
+
+    def on_arrivals(
+        self, candidates: Iterable[SampleCandidate], value: Any, index: int, timestamp: float
+    ) -> None:
+        """Called once per arrival with every retained candidate older than
+        it.  The default calls :meth:`on_arrival` for each; observers with a
+        cheap per-candidate update override it with a tighter loop."""
+        on_arrival = self.on_arrival
+        for candidate in candidates:
+            on_arrival(candidate, value, index, timestamp)
 
     def on_discard(self, candidate: SampleCandidate) -> None:
         """Called when the sampler permanently drops ``candidate``."""
@@ -89,6 +99,15 @@ class OccurrenceCounter(CandidateObserver):
         if value == candidate.value:
             candidate.state[self.STATE_KEY] = candidate.state.get(self.STATE_KEY, 0) + 1
 
+    def on_arrivals(
+        self, candidates: Iterable[SampleCandidate], value: Any, index: int, timestamp: float
+    ) -> None:
+        key = self.STATE_KEY
+        for candidate in candidates:
+            if value == candidate.value:
+                state = candidate.state
+                state[key] = state.get(key, 0) + 1
+
     @classmethod
     def count_of(cls, candidate: SampleCandidate) -> int:
         """The ``r`` statistic of a candidate: itself plus later occurrences."""
@@ -105,6 +124,6 @@ def notify_arrival(
     """Deliver an arrival to every retained candidate older than it."""
     if observer is None:
         return
-    for candidate in candidates:
-        if candidate.index != index:
-            observer.on_arrival(candidate, value, index, timestamp)
+    observer.on_arrivals(
+        [candidate for candidate in candidates if candidate.index != index], value, index, timestamp
+    )

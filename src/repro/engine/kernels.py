@@ -39,7 +39,8 @@ and ``kernel="numpy"`` fails loudly with
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError, TransportError
 from .transport import Buffer, decode_columns, _decode_column
@@ -388,6 +389,7 @@ def _extend_canonical(
     base_index: int,
     stamps: Any,
     gen: Any,
+    lanes: int,
 ) -> None:
     """Extend a canonical bucket list by ``new_count`` arrivals in one step.
 
@@ -397,14 +399,27 @@ def _extend_canonical(
     which, applied along the (equal-width) merge tree, makes a final bucket's
     R sample a *width-weighted* pick among its constituents' R samples, with
     Q an independent identical pick.  So the post-run structure is rebuilt
-    directly: compute ``canonical_boundaries(a, b + new_count)``, reuse
-    untouched buckets, and for each widened bucket draw one uniform element
-    index for R and one for Q, resolving each to the constituent that covers
-    it (an old bucket's stored sample, or a fresh singleton candidate).
+    directly: compute ``canonical_boundaries(a, b + new_count)`` once for all
+    lanes, reuse untouched buckets, and for each widened bucket draw one
+    uniform element index for R and one for Q *per lane* (a single
+    ``gen.integers(..., size=(2, lanes))`` call), resolving each to the
+    constituent that covers it (an old bucket's stored sample in that lane,
+    or a fresh candidate for a newly arrived element, shared by the lanes).
     """
     from ..core.bucket_structure import BucketStructure
     from ..core.covering import canonical_boundaries
     from ..core.tracking import SampleCandidate
+
+    fresh: Dict[int, Any] = {}
+
+    def arrival(element: int) -> Any:
+        candidate = fresh.get(element)
+        if candidate is None:
+            position = element - base_index
+            candidate = fresh[element] = SampleCandidate(
+                values[values_offset + position], element, float(stamps[position])
+            )
+        return candidate
 
     a = buckets[0].start if buckets else new_base
     pairs = canonical_boundaries(a, new_base + new_count - 1)
@@ -425,51 +440,35 @@ def _extend_canonical(
             constituents.append(buckets[old_at])
             old_at += 1
         width = bucket_end - bucket_start
-        rebuilt = BucketStructure.__new__(BucketStructure)
-        rebuilt.start = bucket_start
-        rebuilt.end = bucket_end
-        if constituents:
-            rebuilt.first_value = constituents[0].first_value
-            rebuilt.first_timestamp = constituents[0].first_timestamp
-        else:
-            position = bucket_start - base_index
-            rebuilt.first_value = values[values_offset + position]
-            rebuilt.first_timestamp = float(stamps[position])
         if width == 1:
             # A fresh singleton (the trailing BS(b, b+1), or a width-1 step of
             # a freshly anchored decomposition): R and Q are the element.
             position = bucket_start - base_index
-            candidate = SampleCandidate(
-                value=values[values_offset + position],
-                index=bucket_start,
-                timestamp=float(stamps[position]),
+            result.append(
+                BucketStructure.singleton(
+                    values[values_offset + position], bucket_start, float(stamps[position]), lanes
+                )
             )
-            rebuilt.r_sample = candidate
-            rebuilt.q_sample = candidate
-            result.append(rebuilt)
             continue
-
-        def _resolve(element: int) -> Any:
-            position = element - base_index
-            return SampleCandidate(
-                value=values[values_offset + position],
-                index=element,
-                timestamp=float(stamps[position]),
-            )
-
-        pick_r, pick_q = (int(p) for p in gen.integers(0, width, size=2))
-        element_r = bucket_start + pick_r
-        element_q = bucket_start + pick_q
-        r_sample = None
-        q_sample = None
-        for member in constituents:
-            if r_sample is None and element_r < member.end:
-                r_sample = member.r_sample
-            if q_sample is None and element_q < member.end:
-                q_sample = member.q_sample
-        rebuilt.r_sample = r_sample if r_sample is not None else _resolve(element_r)
-        rebuilt.q_sample = q_sample if q_sample is not None else _resolve(element_q)
-        result.append(rebuilt)
+        if constituents:
+            first_value = constituents[0].first_value
+            first_timestamp = constituents[0].first_timestamp
+        else:
+            first = arrival(bucket_start)
+            first_value, first_timestamp = first.value, first.timestamp
+        ends = [member.end for member in constituents]
+        held = len(constituents)
+        picks = (gen.integers(0, width, size=(2, lanes)) + bucket_start).tolist()
+        r_samples: List[Any] = []
+        q_samples: List[Any] = []
+        for lane, (element_r, element_q) in enumerate(zip(*picks)):
+            at = bisect_right(ends, element_r)
+            r_samples.append(constituents[at].r_samples[lane] if at < held else arrival(element_r))
+            at = bisect_right(ends, element_q)
+            q_samples.append(constituents[at].q_samples[lane] if at < held else arrival(element_q))
+        result.append(
+            BucketStructure(bucket_start, bucket_end, first_value, first_timestamp, r_samples, q_samples)
+        )
     buckets[:] = result
 
 
@@ -492,8 +491,9 @@ def coverage_observe_batch(
     invariant, so the next transition position is found with one
     ``searchsorted`` over the sorted clock track (plus an exact-predicate
     fixup walk so float rounding matches the per-element reference), the run
-    is applied structurally via :func:`_extend_canonical`, and the transition
-    itself reuses the reference :meth:`_refresh` verbatim.
+    is applied structurally via :func:`_extend_canonical` (one geometry
+    rebuild for all of the coverage's lanes), and the transition itself
+    reuses the reference :meth:`_refresh` verbatim.
     """
     total = len(stamps)
     if total == 0:
@@ -538,6 +538,7 @@ def coverage_observe_batch(
                 base_index,
                 stamps,
                 gen,
+                coverage.lanes,
             )
             now = max(now, float(clocks[run_end - 1]))
             position = run_end

@@ -580,7 +580,8 @@ class ServeApp:
         one app, one start."""
         config = self.config
         self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+        if self._stop_event is None:
+            self._stop_event = asyncio.Event()
         self._subs_stop = asyncio.Event()
         if config.checkpoint_dir:
             os.makedirs(config.checkpoint_dir, exist_ok=True)
@@ -803,24 +804,38 @@ class ServeApp:
             )
 
     async def _serve_until_stopped(self) -> int:
-        await self.start()
-        assert self._loop is not None and self._stop_event is not None
+        # The handlers go in before start() writes the ready file: whoever
+        # watches that file may SIGTERM the daemon the moment it appears,
+        # and the default disposition would kill it without a drain or a
+        # checkpoint.  A signal during start() just stops the daemon as soon
+        # as it is up.
+        loop = asyncio.get_running_loop()
+        stop = self._stop_event = asyncio.Event()
         installed: List[signal.Signals] = []
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                self._loop.add_signal_handler(signum, self._stop_event.set)
+                loop.add_signal_handler(signum, stop.set)
                 installed.append(signum)
             except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
                 pass
+
+        def restore_handlers() -> None:
+            for signum in installed:
+                loop.remove_signal_handler(signum)
+
+        try:
+            await self.start()
+        except BaseException:
+            restore_handlers()
+            raise
         listening = f"listening on http://{self.config.host}:{self.http_port}"
         if self.socket_port is not None:
             listening += f" (raw socket {self.config.host}:{self.socket_port})"
         print(listening, flush=True)
         try:
-            await self._stop_event.wait()
+            await stop.wait()
         finally:
-            for signum in installed:
-                self._loop.remove_signal_handler(signum)
+            restore_handlers()
             await self.shutdown()
         return 0
 

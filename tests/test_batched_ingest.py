@@ -456,13 +456,11 @@ class TestBatchedExpiry:
         fast = TimestampSamplerWR(t0=self.T0, k=2, rng=3, fast=True)
         default.process_batch(values, stamps)
         fast.process_batch(values, stamps)
-        for slow_coverage, fast_coverage in zip(default._coverages, fast._coverages):
-            assert (
-                slow_coverage.decomposition.boundaries()
-                == fast_coverage.decomposition.boundaries()
-            )
-            assert slow_coverage.decomposition.is_canonical()
-            assert fast_coverage.decomposition.is_canonical()
+        slow_decomposition = default._coverage.decomposition
+        fast_decomposition = fast._coverage.decomposition
+        assert slow_decomposition.boundaries() == fast_decomposition.boundaries()
+        assert slow_decomposition.is_canonical()
+        assert fast_decomposition.is_canonical()
         assert default.memory_words() == fast.memory_words()
 
 

@@ -8,11 +8,11 @@ from repro.core.covering import CoveringDecomposition, canonical_boundaries, flo
 from repro.exceptions import EmptyWindowError, StreamOrderError
 
 
-def build_decomposition(count, start=0, rng_seed=1):
-    """Build ζ(start, start+count-1) by repeated Incr."""
-    rng = random.Random(rng_seed)
-    decomposition = CoveringDecomposition.fresh(f"v{start}", start, float(start), rng)
-    for offset in range(1, count):
+def build_decomposition(count, start=0, rng_seed=1, lanes=1):
+    """Build ζ(start, start+count-1) by repeated Incr (lane i seeded rng_seed + i)."""
+    rngs = [random.Random(rng_seed + lane) for lane in range(lanes)]
+    decomposition = CoveringDecomposition(rngs)
+    for offset in range(count):
         index = start + offset
         decomposition.incr(f"v{index}", index, float(index))
     return decomposition
@@ -85,23 +85,39 @@ class TestIncrMaintainsCanonicalForm:
         assert decomposition.covered_width == 10
 
     def test_samples_lie_inside_their_buckets(self):
-        decomposition = build_decomposition(300, rng_seed=7)
+        decomposition = build_decomposition(300, rng_seed=7, lanes=3)
         for bucket in decomposition.buckets:
-            assert bucket.start <= bucket.r_sample.index < bucket.end
-            assert bucket.start <= bucket.q_sample.index < bucket.end
+            for lane in range(3):
+                assert bucket.start <= bucket.r_samples[lane].index < bucket.end
+                assert bucket.start <= bucket.q_samples[lane].index < bucket.end
 
     def test_empty_decomposition_raises_on_queries(self):
-        decomposition = CoveringDecomposition(random.Random(1))
+        decomposition = CoveringDecomposition([random.Random(1)])
         assert decomposition.is_empty
         with pytest.raises(EmptyWindowError):
             _ = decomposition.covered_start
         with pytest.raises(EmptyWindowError):
-            decomposition.draw_uniform()
+            decomposition.draw_uniform(random.Random(2))
 
     def test_incr_on_empty_creates_singleton(self):
-        decomposition = CoveringDecomposition(random.Random(1))
+        decomposition = CoveringDecomposition([random.Random(1)])
         decomposition.incr("x", 5, 5.0)
         assert decomposition.boundaries() == [(5, 6)]
+
+
+class TestLaneIndependence:
+    """The lanes of one decomposition share the geometry and nothing else:
+    lane i holds exactly the slots of a lone decomposition driven by lane
+    i's generator, which ends at the same position."""
+
+    @pytest.mark.parametrize("count", [1, 3, 64, 300])
+    def test_each_lane_equals_a_lone_decomposition(self, count):
+        shared = build_decomposition(count, rng_seed=20, lanes=4)
+        for lane in range(4):
+            lone = build_decomposition(count, rng_seed=20 + lane)
+            assert shared.boundaries() == lone.boundaries()
+            assert shared.state_dict(lane) == lone.state_dict(0)
+            assert shared._rngs[lane].getstate() == lone._rngs[0].getstate()
 
 
 class TestDrawUniform:
@@ -118,10 +134,12 @@ class TestDrawUniform:
             assert abs(count - expected) < 0.45 * expected + 10, (index, count)
 
     def test_draw_returns_a_stored_sample(self):
-        decomposition = build_decomposition(50, rng_seed=3)
-        stored = {bucket.r_sample.index for bucket in decomposition.buckets}
-        for _ in range(20):
-            assert decomposition.draw_uniform().index in stored
+        decomposition = build_decomposition(50, rng_seed=3, lanes=2)
+        rng = random.Random(4)
+        for lane in range(2):
+            stored = {bucket.r_samples[lane].index for bucket in decomposition.buckets}
+            for _ in range(20):
+                assert decomposition.draw_uniform(rng, lane).index in stored
 
 
 class TestSplitAtStraddler:
@@ -154,6 +172,10 @@ class TestBookkeeping:
         decomposition = build_decomposition(1000)
         assert decomposition.memory_words() == 10 * decomposition.bucket_count
 
+    def test_memory_words_count_the_geometry_once(self):
+        decomposition = build_decomposition(1000, lanes=7)
+        assert decomposition.memory_words() == (4 + 6 * 7) * decomposition.bucket_count
+
     def test_discard_all_empties(self):
         decomposition = build_decomposition(20)
         decomposition.discard_all()
@@ -161,9 +183,9 @@ class TestBookkeeping:
         assert decomposition.memory_words() == 0
 
     def test_len_and_iter_candidates(self):
-        decomposition = build_decomposition(20)
+        decomposition = build_decomposition(20, lanes=3)
         assert len(decomposition) == decomposition.bucket_count
-        assert len(list(decomposition.iter_candidates())) == 2 * decomposition.bucket_count
+        assert len(list(decomposition.iter_candidates())) == 2 * 3 * decomposition.bucket_count
 
 
 class TestMergeRunGeometry:

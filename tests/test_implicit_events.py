@@ -26,8 +26,8 @@ def make_straddler(alpha, q_index, start=0, timestamps=None):
         end=start + alpha,
         first_value="first",
         first_timestamp=timestamps[start],
-        r_sample=r_candidate,
-        q_sample=q_candidate,
+        r_samples=[r_candidate],
+        q_samples=[q_candidate],
     )
 
 
@@ -58,7 +58,7 @@ class TestGenerateY:
 
     def test_q_sample_outside_bucket_rejected(self):
         straddler = make_straddler(3, 1)
-        straddler.q_sample = SampleCandidate(value="bad", index=99, timestamp=99.0)
+        straddler.q_samples[0] = SampleCandidate(value="bad", index=99, timestamp=99.0)
         with pytest.raises(ValueError):
             generate_y(straddler, 5, random.Random(1))
 
@@ -104,7 +104,7 @@ class TestCombine:
             q_index = rng.randrange(alpha)
             r_index = rng.randrange(alpha)
             straddler = make_straddler(alpha, q_index)
-            straddler.r_sample = SampleCandidate(value="r", index=r_index, timestamp=float(r_index))
+            straddler.r_samples[0] = SampleCandidate(value="r", index=r_index, timestamp=float(r_index))
 
             def draw_suffix():
                 index = rng.choice(suffix_indexes)
@@ -123,3 +123,21 @@ class TestCombine:
         expired = [index for index in range(alpha) if now - index >= t0]
         for index in expired:
             assert counts[index] == 0
+
+
+class TestLanes:
+    def test_each_lane_reads_its_own_r_and_q_slots(self):
+        """A shared straddler serves every lane from that lane's R/Q pair."""
+        straddler = make_straddler(4, 3)
+        straddler.r_samples.append(SampleCandidate(value="r1", index=2, timestamp=2.0))
+        straddler.q_samples.append(SampleCandidate(value="q1", index=1, timestamp=1.0))
+        seen = set()
+        for seed in range(200):
+            y = generate_y(straddler, 6, random.Random(seed), lane=1)
+            seen.add(y.index)
+            chosen = combine_straddler_and_suffix(
+                straddler, 6, lambda: None, now=3.5, t0=2.0, rng=random.Random(seed), lane=1
+            )
+            assert chosen is None or chosen.value == "r1"
+        # Lane 1's Q sample sits at index 1; the rest of Y's mass is on p_0.
+        assert seen == {0, 1}

@@ -164,7 +164,7 @@ class TestCascadeModule:
     def test_coin_slab_consumes_randbytes_like_the_inline_loop(self):
         rng = random.Random(123)
         slab = CoinSlab(rng.randbytes)
-        flips = [slab.flip() for _ in range(1300)]  # crosses a 512-byte refill
+        flips = [slab.random() < 0.5 for _ in range(1300)]  # crosses a 512-byte refill
         mirror = random.Random(123)
         expected = []
         raw = b""
@@ -288,8 +288,7 @@ class TestKernelStructuralInvariants:
                 values = list(range(fed, fed + chunk))
                 sampler.process_batch(values, [float(value) for value in values])
                 fed += chunk
-                for coverage in sampler._coverages:
-                    assert coverage._decomposition.is_canonical()
+                assert sampler._coverage.decomposition.is_canonical()
             assert sampler.sample()[0].index >= max(0, total - 61)
 
     def test_kernel_and_python_agree_on_structure(self):
@@ -303,7 +302,7 @@ class TestKernelStructuralInvariants:
             sampler.process_batch(list(range(150, 300)), stamps[150:])
         boundaries = lambda sampler: [
             (bucket.start, bucket.end)
-            for bucket in sampler._coverages[0]._decomposition._buckets
+            for bucket in sampler._coverage.decomposition.buckets
         ]
         assert boundaries(fast) == boundaries(reference)
 

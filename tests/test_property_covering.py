@@ -27,14 +27,15 @@ def test_canonical_boundaries_partition_the_range(start, width):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**31))
 def test_incr_always_matches_the_canonical_decomposition(width, seed):
-    rng = random.Random(seed)
-    decomposition = CoveringDecomposition.fresh("v0", 0, 0.0, rng)
-    for index in range(1, width):
+    rngs = [random.Random(seed), random.Random(seed + 1)]
+    decomposition = CoveringDecomposition(rngs)
+    for index in range(width):
         decomposition.incr(f"v{index}", index, float(index))
     assert decomposition.boundaries() == canonical_boundaries(0, width - 1)
     for bucket in decomposition.buckets:
-        assert bucket.start <= bucket.r_sample.index < bucket.end
-        assert bucket.start <= bucket.q_sample.index < bucket.end
+        for lane in range(2):
+            assert bucket.start <= bucket.r_samples[lane].index < bucket.end
+            assert bucket.start <= bucket.q_samples[lane].index < bucket.end
 
 
 @settings(max_examples=40, deadline=None)
@@ -46,8 +47,8 @@ def test_incr_always_matches_the_canonical_decomposition(width, seed):
 def test_window_coverage_invariants_on_arbitrary_arrival_gaps(gaps, t0, seed):
     """For any non-decreasing arrival pattern the automaton keeps its invariants:
     the newest element is always covered, the straddler (if any) is never wider
-    than the suffix, and a drawn sample is always an active element."""
-    coverage = WindowCoverage(t0, random.Random(seed))
+    than the suffix, and every lane's drawn sample is an active element."""
+    coverage = WindowCoverage(t0, [random.Random(seed + lane) for lane in range(3)])
     query_rng = random.Random(seed + 1)
     now = 0.0
     for index, gap in enumerate(gaps):
@@ -58,6 +59,36 @@ def test_window_coverage_invariants_on_arbitrary_arrival_gaps(gaps, t0, seed):
         assert coverage.decomposition.covered_end == index
         if coverage.case == 2:
             assert coverage.straddler.width <= coverage.decomposition.covered_width
-        candidate = coverage.draw_sample(query_rng)
-        assert now - candidate.timestamp < t0
-        assert candidate.index <= index
+        for candidate in coverage.draw_samples(query_rng):
+            assert now - candidate.timestamp < t0
+            assert candidate.index <= index
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False), min_size=1, max_size=150),
+    st.floats(min_value=0.5, max_value=20.0, allow_nan=False),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_each_lane_is_an_independent_lone_automaton(gaps, t0, seed):
+    """Lane independence: lane i of a shared automaton holds exactly the
+    state of a lone single-lane automaton fed the same arrivals with lane
+    i's generator — through straddler re-anchoring and whole-window expiry
+    alike — and the geometry shared by the lanes is canonical."""
+    lanes = 3
+    shared = WindowCoverage(t0, [random.Random(seed + lane) for lane in range(lanes)])
+    lone = [WindowCoverage(t0, [random.Random(seed + lane)]) for lane in range(lanes)]
+    now = 0.0
+    for index, gap in enumerate(gaps):
+        now += gap
+        for coverage in [shared, *lone]:
+            coverage.advance_time(now)
+            coverage.observe(index, index, now)
+        assert shared.decomposition.is_canonical()
+    states = shared.state_dicts()
+    for lane in range(lanes):
+        assert states[lane] == lone[lane].state_dicts()[0]
+    # The word model charges the clock, t0 and each bucket's geometry once.
+    geometry_buckets = shared.decomposition.bucket_count + (shared.straddler is not None)
+    saved = sum(coverage.memory_words() for coverage in lone) - shared.memory_words()
+    assert saved == (lanes - 1) * (2 + 4 * geometry_buckets)

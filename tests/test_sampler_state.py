@@ -159,6 +159,45 @@ class TestSnapshotValidation:
         with pytest.raises(ConfigurationError):
             sampler.load_state_dict({"format": 1})
 
+    @staticmethod
+    def _straddling_ts_wr_state():
+        sampler = TimestampSamplerWR(t0=25.0, k=4, rng=13)
+        for value, stamp in poisson_stream(200, seed=5):
+            sampler.append(value, stamp)
+        state = sampler.state_dict()
+        assert all(lane["straddler"] is not None for lane in state["payload"]["coverages"])
+        return state
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lane: lane["decomposition"]["buckets"][1].update(start=7, end=9),
+            lambda lane: lane["decomposition"]["buckets"][0].update(first_timestamp=-1.0),
+            lambda lane: lane["straddler"].update(first_timestamp=-1.0),
+            lambda lane: lane.update(straddler=None),
+            lambda lane: lane["decomposition"]["buckets"].pop(),
+            lambda lane: lane.update(now=lane["now"] + 1.0),
+        ],
+        ids=["bounds", "first-timestamp", "straddler-geometry", "straddler-presence", "bucket-count", "clock"],
+    )
+    def test_ts_wr_lanes_that_disagree_on_geometry_are_rejected(self, edit):
+        """The k lanes share one geometry: a snapshot whose lanes disagree
+        (edited, or stitched from different samplers) names the first
+        differing lane and leaves the receiving sampler untouched."""
+        state = self._straddling_ts_wr_state()
+        edit(state["payload"]["coverages"][2])
+        target = TimestampSamplerWR(t0=25.0, k=4, rng=13)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match="lane 2 disagrees with lane 0"):
+            target.load_state_dict(state)
+        assert target.state_dict() == before
+
+    def test_ts_wr_snapshot_with_consistent_lanes_loads(self):
+        state = self._straddling_ts_wr_state()
+        target = TimestampSamplerWR(t0=25.0, k=4, rng=99)
+        target.load_state_dict(pickle.loads(pickle.dumps(state)))
+        assert target.state_dict() == state
+
     def test_baselines_do_not_pretend_to_checkpoint(self):
         baseline = sliding_window_sampler("sequence", n=10, k=2, algorithm="chain", rng=1)
         with pytest.raises(NotImplementedError):

@@ -487,37 +487,40 @@ class TestBatchedQuery:
             assert final["swsample_querycache_invalidations"] >= 1
 
 
-class TestSubscribe:
-    def _subscribe_raw(self, port, body, collected, connected):
-        conn = socket.create_connection(("127.0.0.1", port), timeout=60)
-        payload = body.encode()
-        conn.sendall(
-            (
-                f"POST /v1/default/subscribe HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {len(payload)}\r\n\r\n"
-            ).encode()
-            + payload
-        )
-        data = b""
-        while b"\r\n\r\n" not in data:
-            data += conn.recv(65536)
-        head, _, rest = data.partition(b"\r\n\r\n")
-        collected.append(head.decode().split("\r\n")[0])
-        connected.set()
-        buffer = rest
-        while True:
-            while b"\n" in buffer:
-                line, _, buffer = buffer.partition(b"\n")
-                if line.strip():
-                    collected.append(line.decode())
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-        conn.close()
-        if buffer.strip():
-            collected.append(buffer.decode().strip())
+def subscribe_raw(port, body, collected, connected):
+    """Hold one /subscribe stream open, collecting the status line and then
+    every JSONL line until the daemon closes the stream."""
+    conn = socket.create_connection(("127.0.0.1", port), timeout=60)
+    payload = body.encode()
+    conn.sendall(
+        (
+            f"POST /v1/default/subscribe HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode()
+        + payload
+    )
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += conn.recv(65536)
+    head, _, rest = data.partition(b"\r\n\r\n")
+    collected.append(head.decode().split("\r\n")[0])
+    connected.set()
+    buffer = rest
+    while True:
+        while b"\n" in buffer:
+            line, _, buffer = buffer.partition(b"\n")
+            if line.strip():
+                collected.append(line.decode())
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        buffer += chunk
+    conn.close()
+    if buffer.strip():
+        collected.append(buffer.decode().strip())
 
+
+class TestSubscribe:
     def test_snapshot_change_deltas_and_clean_end(self):
         with ServeThread(serve_config()) as server:
             port = server.http_port
@@ -525,7 +528,7 @@ class TestSubscribe:
             collected, connected = [], threading.Event()
             body = json.dumps({"op": "hottest", "top": 2, "interval": 0.05})
             reader = threading.Thread(
-                target=self._subscribe_raw, args=(port, body, collected, connected)
+                target=subscribe_raw, args=(port, body, collected, connected)
             )
             reader.start()
             assert connected.wait(timeout=30)
@@ -677,8 +680,27 @@ def _wait_for_ready(path, process, deadline=60):
     raise AssertionError("ready file never appeared")  # pragma: no cover
 
 
+#: Runs the ``swsample serve`` CLI, but the daemon sends itself SIGTERM the
+#: instant its ready file is on disk — the earliest moment a supervisor
+#: watching that file could stop it.
+SIGTERM_AT_READY = """
+import os, signal, sys
+from repro import serve
+from repro.cli import main
+
+write_ready_file = serve.ServeApp._write_ready_file
+
+def write_then_terminate(app):
+    write_ready_file(app)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+serve.ServeApp._write_ready_file = write_then_terminate
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestDaemonLifecycle:
-    def _spawn(self, tmp_path, *extra):
+    def _spawn(self, tmp_path, *extra, entry=("-m", "repro.cli")):
         ready = tmp_path / "ready.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
@@ -686,7 +708,7 @@ class TestDaemonLifecycle:
         )
         process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, *entry, "serve",
                 "--port", "0", "--ready-file", str(ready),
                 "--n", "64", "-k", "4", "--seed", "17",
                 "--checkpoint-dir", str(tmp_path / "ckpt"), *extra,
@@ -730,6 +752,41 @@ class TestDaemonLifecycle:
         assert process.returncode == 0, stderr
         assert after["sample"] == before["sample"]
         assert stats["arrivals"] == 200
+
+
+    def test_sigterm_the_moment_the_ready_file_appears_still_drains(self, tmp_path):
+        """The signal handlers are in place before the ready file is written:
+        a SIGTERM sent the instant it appears drains and checkpoints (rc 0)
+        instead of killing the daemon, and the checkpoint resumes."""
+        process, ready = self._spawn(tmp_path, entry=("-c", SIGTERM_AT_READY))
+        stdout, stderr = process.communicate(timeout=60)
+        assert process.returncode == 0, (process.returncode, stderr)
+        assert "listening on http://127.0.0.1" in stdout
+        assert not ready.exists()  # readiness is withdrawn on shutdown
+        assert (tmp_path / "ckpt" / "default" / "MANIFEST.json").exists(), stderr
+
+        process, ready = self._spawn(tmp_path, "--resume")
+        collected, connected = [], threading.Event()
+        try:
+            port = _wait_for_ready(str(ready), process)["http_port"]
+            _, stats, _ = http_get(port, "/v1/default/stats")
+            assert stats["arrivals"] == 0
+            body = json.dumps({"op": "hottest", "top": 2, "interval": 0.05})
+            reader = threading.Thread(
+                target=subscribe_raw, args=(port, body, collected, connected)
+            )
+            reader.start()
+            assert connected.wait(timeout=30)
+            deadline = time.time() + 30
+            while time.time() < deadline and not collected[1:]:
+                time.sleep(0.02)
+        finally:
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=60)
+        reader.join(timeout=30)
+        assert process.returncode == 0, stderr
+        # The drain closed the standing query with its end line.
+        assert json.loads(collected[-1])["event"] == "end"
 
 
 class _RecoveringEngine(ShardedEngine):
