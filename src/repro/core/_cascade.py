@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .bucket_structure import BucketStructure
+from .tracking import CandidateObserver
 
 __all__ = ["COMPILED", "CoinSlab", "merge_cascade"]
 
@@ -88,7 +89,7 @@ def merge_cascade(
     buckets: List[BucketStructure],
     index: int,
     coins: Sequence[Callable[[], float]],
-    observer: Any = None,
+    observer: Optional[CandidateObserver] = None,
 ) -> None:
     """Run the in-place merge cascade for arrival ``index``.
 

@@ -188,8 +188,8 @@ class CoveringDecomposition:
         """Extend ``ζ(a, b)`` to ``ζ(a, b+1)`` with the newly arrived element.
 
         The new singleton ``BS(b+1, b+2)`` is built first (its candidates
-        selected lane by lane), then the leading equal-width pairs that the
-        inductive definition merges are merged in place.  Those merges sit
+        selected lane by lane), then the equal-width pairs that the inductive
+        definition merges are merged in place.  Those merges sit
         where ``⌊log(b+2-a)⌋`` steps, which in a canonical decomposition is
         a stride-2 run ending at the third-from-last bucket, so one O(1)
         probe decides whether this arrival merges at all (see

@@ -767,6 +767,7 @@ class TestDaemonLifecycle:
 
         process, ready = self._spawn(tmp_path, "--resume")
         collected, connected = [], threading.Event()
+        reader = None
         try:
             port = _wait_for_ready(str(ready), process)["http_port"]
             _, stats, _ = http_get(port, "/v1/default/stats")
@@ -783,7 +784,9 @@ class TestDaemonLifecycle:
         finally:
             process.send_signal(signal.SIGTERM)
             _, stderr = process.communicate(timeout=60)
+        assert reader is not None
         reader.join(timeout=30)
+        assert not reader.is_alive()
         assert process.returncode == 0, stderr
         # The drain closed the standing query with its end line.
         assert json.loads(collected[-1])["event"] == "end"
